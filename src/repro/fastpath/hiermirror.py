@@ -1,11 +1,12 @@
-"""Specialized closures mirroring the MemoryHierarchy hot path exactly.
+"""Specialized closures of the MemoryHierarchy hot path.
 
-``MemoryHierarchy.access`` and ``issue_prefetch`` spend most of their time
-on attribute loads and ``Cache`` method calls.  These factories build
-closures over one hierarchy's internals — set lists, masks, latencies, the
-in-flight and prefetched-unused dicts, the stats objects — with every cache
-operation inlined, and are *line-for-line transliterations* of the
-reference methods for the configuration they are built for:
+``MemoryHierarchy.access`` and ``issue_prefetch`` do their cache-set work
+inline on the caches' set lists.  These factories build closures of the
+same shape, statement for statement, over one hierarchy's internals — set
+lists, masks, latencies, the in-flight and prefetched-unused dicts, the
+stats objects — bound once instead of loaded per call, and with the
+telemetry and ledger branches left out.  They are therefore exact for the
+configuration they are built for:
 
 * telemetry disabled (no sampling countdowns to advance), and
 * no prefetch lifecycle ledger attached.
@@ -13,9 +14,10 @@ reference methods for the configuration they are built for:
 Every counter increment, LRU promotion, eviction classification and
 per-stream attribution happens in the reference order against the same
 underlying objects, so the hierarchy state after N operations is
-bit-identical to N reference calls — the property ``check_fastpath_identity``
-and ``tests/test_fastpath_equiv.py`` pin.  When the configuration is not
-eligible (telemetry on, ledger attached, subclassed or wrapped hierarchy),
+bit-identical to N reference calls — the property ``check_fastpath_identity``,
+``tests/test_fastpath_equiv.py`` and the oracle's ``diff_hierarchy`` fuzzing
+pin.  When the configuration is not eligible (telemetry on, ledger
+attached, subclassed or wrapped hierarchy),
 :class:`~repro.fastpath.kernel.FastCtx` binds the reference bound methods
 instead and nothing here runs.
 
@@ -90,7 +92,7 @@ def make_fast_access(hier):
             # on-time arrivals are counted below when the L1 lookup hits
         way = l1_sets[block & l1_mask]
         if block in way:
-            # l1.lookup hit: promote to MRU, count
+            # L1 hit: promote to MRU
             l1.hits += 1
             if way[-1] != block:
                 way.remove(block)
@@ -104,7 +106,6 @@ def make_fast_access(hier):
         l1.misses += 1
         way2 = l2_sets[block & l2_mask]
         if block in way2:
-            # l2.lookup hit
             l2.hits += 1
             if way2[-1] != block:
                 way2.remove(block)
@@ -118,8 +119,8 @@ def make_fast_access(hier):
         else:
             l2.misses += 1
             stall += mem_lat
-            # _install_l2: install with inclusion — an L2 eviction also
-            # removes the L1 copy, and an unused prefetched victim is wasted.
+            # L2 fill.  Inclusion: an L2 victim also leaves L1, and an
+            # unused prefetched victim is wasted.
             if len(way2) >= l2_assoc:
                 victim = way2.pop(0)
                 l2.evictions += 1
@@ -133,7 +134,7 @@ def make_fast_access(hier):
                     if stream_of:
                         note(victim, "wasted")
             way2.append(block)
-        # _install_l1 (the looked-up block is never resident here)
+        # L1 fill (the block missed L1, so it is not resident)
         if len(way) >= l1_assoc:
             victim = way.pop(0)
             l1.evictions += 1
@@ -200,7 +201,7 @@ def make_fast_issue_prefetch(hier):
             inflight[block] = now + l2_lat
         else:
             inflight[block] = now + mem_lat
-            # _install_l2 with inclusion (see fast_access)
+            # L2 fill with inclusion, as in fast_access()
             way2 = l2_sets[block & l2_mask]
             if len(way2) >= l2_assoc:
                 victim = way2.pop(0)
@@ -215,7 +216,7 @@ def make_fast_issue_prefetch(hier):
                     if stream_of:
                         note(victim, "wasted")
             way2.append(block)
-        # _install_l1 (block is not resident: contains() above said no)
+        # L1 fill (the block is not L1-resident: checked above)
         way = l1_sets[block & l1_mask]
         if len(way) >= l1_assoc:
             victim = way.pop(0)

@@ -6,16 +6,16 @@ returns, burst transitions, instruction limits, and any instruction pointer
 the compiled dispatcher does not recognise — crosses back into this
 trampoline, which replays the exact code the reference dispatch loop runs
 for the same event.  For instruction-pointer positions that are not trace
-leaders (a slice can park anywhere) and for the final instructions of a
-bounded slice, the trampoline executes the *reference* ``_dispatch`` one
-instruction at a time (``limit = icount + 1``), which is bit-identical by
-construction — the slice-composition invariant pinned since PR 7 guarantees
-that N single-instruction slices equal one N-instruction run.
+leaders (a slice can park anywhere) the trampoline executes the
+*reference* ``_dispatch`` one instruction at a time (``limit = icount + 1``)
+until it reaches one; when a bounded slice's remainder is shorter than the
+longest trace from the current leader, one reference call runs the
+remainder up to the limit.  Both are bit-identical by construction: the
+slice-composition invariant guarantees that any split of a run into
+slices, single-instruction ones included, equals the unsplit run.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.hwpref import MarkovPrefetcher, StridePrefetcher
 from repro.errors import ExecutionError
@@ -200,14 +200,17 @@ def run_fast(interp, state, limit: int, raise_on_limit: bool):
             memo[mkey] = entry if entry is not None else False
         elif entry is False:
             entry = None
-        if (
-            entry is None
-            or state.ip not in entry.leaders
-            or state.icount + entry.max_trace > limit
-        ):
-            # Reference single-step: resynchronise onto a trace leader, or
-            # finish a bounded slice with exact per-instruction limit checks.
+        if entry is None or state.ip not in entry.leaders:
+            # Reference single-step: resynchronise onto a trace leader.
             stats = interp._dispatch(state, state.icount + 1, False)
+            if stats is not None:
+                return stats
+            continue
+        if state.icount + entry.max_trace > limit:
+            # Fewer instructions are left than the longest trace from here:
+            # the reference loop runs them in one call, with its exact
+            # per-instruction limit checks.
+            stats = interp._dispatch(state, limit, False)
             if stats is not None:
                 return stats
             continue

@@ -320,12 +320,18 @@ class MemoryHierarchy:
         setattr(stats, outcome, getattr(stats, outcome) + 1)
 
     def access(self, addr: int, now: int) -> int:
-        """Perform a demand access at cycle ``now``; return stall cycles."""
+        """Perform a demand access at cycle ``now``; return stall cycles.
+
+        The set work (LRU promotion, fill, inclusion) is done inline on the
+        caches' set lists with :class:`Cache`'s own counter updates: a
+        method call per cache operation costs more than the operation.
+        """
         self.demand_accesses += 1
         block = addr >> self._block_shift
         stall = 0
         telem = self.telemetry
         inflight = self._inflight
+        pf_unused = self._prefetched_unused
         if block in inflight:
             ready = inflight.pop(block)
             if ready > now:
@@ -333,7 +339,7 @@ class MemoryHierarchy:
                 self.prefetch.late += 1
                 if self._stream_of:
                     self._note_outcome(block, "late")
-                issued_at = self._prefetched_unused.pop(block, now)
+                issued_at = pf_unused.pop(block, now)
                 if self.ledger is not None:
                     self.ledger.on_use(block, now, True, now - issued_at, stall)
                 if telem.enabled:
@@ -345,9 +351,18 @@ class MemoryHierarchy:
                         telem.emit(PrefetchUsed(now, block, True, now - issued_at))
                     self._used_since_sample = n
             # on-time arrivals are counted below when the L1 lookup hits
-        if self.l1.lookup(block):
-            if block in self._prefetched_unused:
-                issued_at = self._prefetched_unused.pop(block)
+        l1 = self.l1
+        l1_sets = l1._sets
+        l1_mask = l1._set_mask
+        way = l1_sets[block & l1_mask]
+        if block in way:
+            # L1 hit: promote to MRU
+            l1.hits += 1
+            if way[-1] != block:
+                way.remove(block)
+                way.append(block)
+            if block in pf_unused:
+                issued_at = pf_unused.pop(block)
                 self.prefetch.useful += 1
                 if self._stream_of:
                     self._note_outcome(block, "useful")
@@ -360,10 +375,17 @@ class MemoryHierarchy:
                         telem.emit(PrefetchUsed(now, block, False, now - issued_at))
                     self._used_since_sample = n
             return stall
-        if self.l2.lookup(block):
+        l1.misses += 1
+        l2 = self.l2
+        way2 = l2._sets[block & l2._set_mask]
+        if block in way2:
+            l2.hits += 1
+            if way2[-1] != block:
+                way2.remove(block)
+                way2.append(block)
             stall += self.config.l2_latency
-            if block in self._prefetched_unused:
-                issued_at = self._prefetched_unused.pop(block)
+            if block in pf_unused:
+                issued_at = pf_unused.pop(block)
                 self.prefetch.useful += 1
                 if self._stream_of:
                     self._note_outcome(block, "useful")
@@ -377,15 +399,31 @@ class MemoryHierarchy:
                     self._used_since_sample = n
             level = "L1"
         else:
+            l2.misses += 1
             stall += self.config.memory_latency
-            self._install_l2(block, now)
+            # L2 fill.  Inclusion: an L2 victim also leaves L1.
+            if len(way2) >= l2.geometry.associativity:
+                victim = way2.pop(0)
+                l2.evictions += 1
+                victim_way = l1_sets[victim & l1_mask]
+                if victim in victim_way:
+                    victim_way.remove(victim)
+                if victim in pf_unused:
+                    self._account_eviction(victim, l1_only=False, now=now)
+            way2.append(block)
             level = "L2"
         if telem.enabled:
             self._misses_since_sample += 1
             if self._misses_since_sample >= self.miss_sample_every:
                 self._misses_since_sample = 0
                 telem.emit(CacheMiss(now, level, block, stall))
-        self._install_l1(block, now)
+        # L1 fill (the block missed L1, so it is not resident)
+        if len(way) >= l1.geometry.associativity:
+            victim = way.pop(0)
+            l1.evictions += 1
+            if victim in pf_unused:
+                self._account_eviction(victim, l1_only=True, now=now)
+        way.append(block)
         return stall
 
     def issue_prefetch(self, addr: int, now: int, source: str = "sw") -> None:
@@ -395,7 +433,8 @@ class MemoryHierarchy:
         frame and can evict useful data — pollution) and becomes *ready* after
         the fetch latency; demand accesses before then pay the residual.
         ``source`` tags the telemetry event ("sw" for injected handlers,
-        "stride"/"markov" for the hardware baselines).
+        "stride"/"markov" for the hardware baselines).  The set work is
+        inline, as in :meth:`access`.
         """
         self.prefetch.issued += 1
         by_source = self.prefetch.by_source
@@ -410,7 +449,12 @@ class MemoryHierarchy:
             if sstats is None:
                 sstats = self.stream_stats[skey] = StreamPrefetchStats()
             sstats.issued += 1
-        if self.l1.contains(block) or block in self._inflight:
+        l1 = self.l1
+        l1_sets = l1._sets
+        l1_mask = l1._set_mask
+        way = l1_sets[block & l1_mask]
+        inflight = self._inflight
+        if block in way or block in inflight:
             self.prefetch.redundant += 1
             if skey is not None:
                 sstats.redundant += 1
@@ -431,14 +475,32 @@ class MemoryHierarchy:
                 n = 0
                 telem.emit(PrefetchIssued(now, block, source, False))
             self._issued_since_sample = n
-        if self.l2.contains(block):
+        pf_unused = self._prefetched_unused
+        l2 = self.l2
+        way2 = l2._sets[block & l2._set_mask]
+        if block in way2:
             # L2-resident: promote to L1 quickly.
-            self._inflight[block] = now + self.config.l2_latency
+            inflight[block] = now + self.config.l2_latency
         else:
-            self._inflight[block] = now + self.config.memory_latency
-            self._install_l2(block, now)
-        self._install_l1(block, now)
-        self._prefetched_unused[block] = now
+            inflight[block] = now + self.config.memory_latency
+            # L2 fill with inclusion, as in access()
+            if len(way2) >= l2.geometry.associativity:
+                victim = way2.pop(0)
+                l2.evictions += 1
+                victim_way = l1_sets[victim & l1_mask]
+                if victim in victim_way:
+                    victim_way.remove(victim)
+                if victim in pf_unused:
+                    self._account_eviction(victim, l1_only=False, now=now)
+            way2.append(block)
+        # L1 fill (the block is not L1-resident: checked above)
+        if len(way) >= l1.geometry.associativity:
+            victim = way.pop(0)
+            l1.evictions += 1
+            if victim in pf_unused:
+                self._account_eviction(victim, l1_only=True, now=now)
+        way.append(block)
+        pf_unused[block] = now
         if skey is not None:
             self._stream_of[block] = skey
 
@@ -453,32 +515,21 @@ class MemoryHierarchy:
             self._evicted_since_sample = 0
             telem.emit(PrefetchEvicted(now, block, at_finalize))
 
-    def _install_l1(self, block: int, now: int) -> None:
-        victim = self.l1.install(block)
-        if victim is not None:
-            self._account_eviction(victim, l1_only=True, now=now)
-
-    def _install_l2(self, block: int, now: int) -> None:
-        victim = self.l2.install(block)
-        if victim is not None:
-            # Model inclusion: an L2 eviction also removes the L1 copy.
-            self.l1.invalidate(victim)
-            self._account_eviction(victim, l1_only=False, now=now)
-
     def _account_eviction(self, victim: int, l1_only: bool, now: int) -> None:
-        if victim in self._prefetched_unused:
-            # A prefetched block that falls out of L2 (or out of L1 while
-            # absent from L2) without being used was pure pollution.
-            if not l1_only or not self.l2.contains(victim):
-                del self._prefetched_unused[victim]
-                self._inflight.pop(victim, None)
-                self.prefetch.wasted += 1
-                if self._stream_of:
-                    self._note_outcome(victim, "wasted")
-                if self.ledger is not None:
-                    self.ledger.on_evict(victim, now)
-                if self.telemetry.enabled:
-                    self._emit_evicted(self.telemetry, now, victim, False)
+        """Classify an evicted, still-unused prefetched block (the callers
+        check ``victim in _prefetched_unused`` first)."""
+        # A prefetched block that falls out of L2 (or out of L1 while absent
+        # from L2) without being used was pure pollution.
+        if not l1_only or not self.l2.contains(victim):
+            del self._prefetched_unused[victim]
+            self._inflight.pop(victim, None)
+            self.prefetch.wasted += 1
+            if self._stream_of:
+                self._note_outcome(victim, "wasted")
+            if self.ledger is not None:
+                self.ledger.on_evict(victim, now)
+            if self.telemetry.enabled:
+                self._emit_evicted(self.telemetry, now, victim, False)
 
     def finalize(self, now: int = 0) -> None:
         """Classify still-unused prefetched blocks as wasted (end of run)."""

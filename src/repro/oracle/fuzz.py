@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 from repro.analysis.exact import enumerate_hot_substrings
 from repro.analysis.hotstreams import AnalysisConfig, find_hot_streams
 from repro.errors import AnalysisError, OracleError
+from repro.fastpath.hiermirror import make_fast_access, make_fast_issue_prefetch
 from repro.machine.cache import Cache
 from repro.machine.config import CacheGeometry, MachineConfig
 from repro.machine.hierarchy import MemoryHierarchy
@@ -28,6 +29,7 @@ from repro.oracle.refmodel import RefCache, RefHierarchy
 from repro.oracle.refsequitur import RefSequitur
 from repro.oracle.refstreams import check_hot_streams, ref_hot_substrings
 from repro.sequitur.sequitur import Sequitur
+from repro.tenancy.hierarchy import TenantHierarchy
 
 #: One replayable operation: (op name, operand).
 Op = tuple[str, int]
@@ -35,7 +37,7 @@ Op = tuple[str, int]
 _CACHE_OPS = ("lookup", "install", "contains", "invalidate", "flush")
 _CACHE_WEIGHTS = (45, 35, 10, 8, 2)
 _HIER_OPS = ("access", "prefetch", "flush", "finalize")
-_HIER_WEIGHTS = (68, 26, 3, 3)
+_HIER_WEIGHTS = (70, 26, 1, 3)
 
 
 # ---------------------------------------------------------------- generators
@@ -59,13 +61,27 @@ def gen_cache_ops(rng, count: int, geometry: CacheGeometry) -> list[Op]:
 
 
 def gen_hierarchy_ops(rng, count: int, machine: MachineConfig) -> list[Op]:
-    """Random hierarchy op sequence (byte addresses, unaligned on purpose)."""
+    """Random hierarchy op sequence (byte addresses, unaligned on purpose).
+
+    Three in four references fall in a hot pool ~3x the L1's capacity, so L1
+    hits and prefetch reuse are common.  The rest are conflict references:
+    a few L2 sets of the hot pool, each with twice its associativity of
+    distinct tags, so those sets fill up and evict blocks that are still
+    hot in L1, the case inclusion exists for.  Flushes are rare, since each
+    one empties the sets again.
+    """
     l1_blocks = machine.l1.size_bytes // machine.block_bytes
-    pool_blocks = max(3 * l1_blocks, 16)
+    hot_blocks = max(3 * l1_blocks, 16)
+    l2_sets = machine.l2.num_sets
+    conflict_sets = max(machine.l1.num_sets // 2, 1)
     ops: list[Op] = []
     for _ in range(count):
         (kind,) = rng.choices(_HIER_OPS, weights=_HIER_WEIGHTS)
-        block = rng.randrange(pool_blocks)
+        if rng.random() < 0.75:
+            block = rng.randrange(hot_blocks)
+        else:
+            tag = rng.randrange(2 * machine.l2.associativity)
+            block = rng.randrange(conflict_sets) + tag * l2_sets
         addr = block * machine.block_bytes + rng.randrange(machine.block_bytes)
         ops.append((kind, addr))
     return ops
@@ -133,60 +149,79 @@ def diff_cache(geometry: CacheGeometry, ops: Sequence[Op]) -> None:
 
 
 def diff_hierarchy(machine: MachineConfig, ops: Sequence[Op]) -> None:
-    """Replay ``ops`` on MemoryHierarchy and RefHierarchy in lockstep.
+    """Replay ``ops`` on every production hierarchy and RefHierarchy in lockstep.
 
-    The clock advances one cycle per op plus each access's own stall, the
-    same policy the interpreter uses; per-op stalls, final counters, prefetch
-    classification and residency must all match.
+    The production side is :class:`MemoryHierarchy`, a single-tenant
+    :class:`TenantHierarchy` and the compiled kernel's specialized
+    ``make_fast_access``/``make_fast_issue_prefetch`` closures.  The clock
+    advances one cycle per op plus each access's own stall, the same policy
+    the interpreter uses; per-op stalls, final counters, prefetch
+    classification and residency must all match the reference.
     """
-    prod = MemoryHierarchy(machine)
+    plain = MemoryHierarchy(machine)
+    tenant = TenantHierarchy(machine, 1)
+    mirrored = MemoryHierarchy(machine)
+    # (name, hierarchy, access, issue_prefetch), each on a fresh instance
+    variants = [
+        ("MemoryHierarchy", plain, plain.access, plain.issue_prefetch),
+        ("TenantHierarchy", tenant, tenant.access, tenant.issue_prefetch),
+        (
+            "fastpath closures",
+            mirrored,
+            make_fast_access(mirrored),
+            make_fast_issue_prefetch(mirrored),
+        ),
+    ]
     ref = RefHierarchy(machine)
     now = 0
     for i, (kind, addr) in enumerate(ops):
         now += 1
         if kind == "access":
-            got = prod.access(addr, now)
             want = ref.access(addr, now)
-            if got != want:
-                raise OracleError(
-                    f"op #{i} access({addr:#x}) at cycle {now}: "
-                    f"production stalled {got}, reference {want}"
-                )
-            now += got
+            for name, _, access, _ in variants:
+                got = access(addr, now)
+                if got != want:
+                    raise OracleError(
+                        f"{name}: op #{i} access({addr:#x}) at cycle {now}: "
+                        f"production stalled {got}, reference {want}"
+                    )
+            now += want
         elif kind == "prefetch":
-            prod.issue_prefetch(addr, now)
             ref.issue_prefetch(addr, now)
-        elif kind == "flush":
-            prod.flush(now)
-            ref.flush(now)
-        elif kind == "finalize":
-            prod.finalize(now)
-            ref.finalize(now)
+            for _, _, _, issue_prefetch in variants:
+                issue_prefetch(addr, now)
+        elif kind in ("flush", "finalize"):
+            getattr(ref, kind)(now)
+            for _, hier, _, _ in variants:
+                getattr(hier, kind)(now)
         else:
             raise OracleError(f"unknown hierarchy op {kind!r}")
-    prod.finalize(now)
     ref.finalize(now)
-    prod_pf = (
-        prod.prefetch.issued, prod.prefetch.redundant, prod.prefetch.useful,
-        prod.prefetch.late, prod.prefetch.wasted,
-    )
-    if prod_pf != ref.prefetch.as_tuple():
-        raise OracleError(
-            "prefetch (issued, redundant, useful, late, wasted) differ: "
-            f"production {prod_pf}, reference {ref.prefetch.as_tuple()}"
+    for name, prod, _, _ in variants:
+        prod.finalize(now)
+        prod_pf = (
+            prod.prefetch.issued, prod.prefetch.redundant, prod.prefetch.useful,
+            prod.prefetch.late, prod.prefetch.wasted,
         )
-    for level, prod_c, ref_c in (("L1", prod.l1, ref.l1), ("L2", prod.l2, ref.l2)):
-        for name in ("hits", "misses", "evictions"):
-            got, want = getattr(prod_c, name), getattr(ref_c, name)
-            if got != want:
-                raise OracleError(f"{level} {name}: production {got}, reference {want}")
-        if prod_c.resident_blocks() != ref_c.resident_blocks():
-            raise OracleError(f"{level} resident sets differ")
-    if prod.demand_accesses != ref.demand_accesses:
-        raise OracleError(
-            f"demand accesses: production {prod.demand_accesses}, "
-            f"reference {ref.demand_accesses}"
-        )
+        if prod_pf != ref.prefetch.as_tuple():
+            raise OracleError(
+                f"{name}: prefetch (issued, redundant, useful, late, wasted) differ: "
+                f"production {prod_pf}, reference {ref.prefetch.as_tuple()}"
+            )
+        for level, prod_c, ref_c in (("L1", prod.l1, ref.l1), ("L2", prod.l2, ref.l2)):
+            for counter in ("hits", "misses", "evictions"):
+                got, want = getattr(prod_c, counter), getattr(ref_c, counter)
+                if got != want:
+                    raise OracleError(
+                        f"{name}: {level} {counter}: production {got}, reference {want}"
+                    )
+            if prod_c.resident_blocks() != ref_c.resident_blocks():
+                raise OracleError(f"{name}: {level} resident sets differ")
+        if prod.demand_accesses != ref.demand_accesses:
+            raise OracleError(
+                f"{name}: demand accesses: production {prod.demand_accesses}, "
+                f"reference {ref.demand_accesses}"
+            )
 
 
 def grammar_state_diff(got: dict, want: dict) -> str:

@@ -288,8 +288,8 @@ class TenantHierarchy:
     def access(self, addr: int, now: int) -> int:
         """Demand access by the active tenant; returns stall cycles.
 
-        Stall arithmetic is the single-tenant hierarchy's, verbatim; only
-        which counters are credited differs.
+        Stall arithmetic and the inline set work are the single-tenant
+        hierarchy's, verbatim; only which counters are credited differs.
         """
         lane = self._lane
         lane.demand += 1
@@ -298,6 +298,7 @@ class TenantHierarchy:
         stall = 0
         telem = lane.bus
         inflight = self._inflight
+        pf_unused = self._prefetched_unused
         if block in inflight:
             ready = inflight.pop(block)
             if ready > now:
@@ -306,7 +307,7 @@ class TenantHierarchy:
                 lane.prefetch.late += 1
                 if self._stream_of:
                     self._note_outcome(block, "late")
-                issued_at = self._prefetched_unused.pop(block, now)
+                issued_at = pf_unused.pop(block, now)
                 if lane.ledger is not None:
                     lane.ledger.on_use(block, now, True, now - issued_at, stall)
                 if telem.enabled:
@@ -315,10 +316,17 @@ class TenantHierarchy:
                         n = 0
                         telem.emit(PrefetchUsed(now, block, True, now - issued_at))
                     lane.used_since = n
-        if lane.l1.lookup(block):
+        l1 = lane.l1
+        way = l1._sets[block & l1._set_mask]
+        if block in way:
+            # L1 hit: promote to MRU
+            l1.hits += 1
+            if way[-1] != block:
+                way.remove(block)
+                way.append(block)
             lane.stats_l1.hits += 1
-            if block in self._prefetched_unused:
-                issued_at = self._prefetched_unused.pop(block)
+            if block in pf_unused:
+                issued_at = pf_unused.pop(block)
                 self.prefetch.useful += 1
                 lane.prefetch.useful += 1
                 if self._stream_of:
@@ -332,12 +340,19 @@ class TenantHierarchy:
                         telem.emit(PrefetchUsed(now, block, False, now - issued_at))
                     lane.used_since = n
             return stall
+        l1.misses += 1
         lane.stats_l1.misses += 1
-        if self.l2.lookup(block):
+        l2 = self.l2
+        way2 = l2._sets[block & l2._set_mask]
+        if block in way2:
+            l2.hits += 1
+            if way2[-1] != block:
+                way2.remove(block)
+                way2.append(block)
             lane.stats_l2.hits += 1
             stall += self.config.l2_latency
-            if block in self._prefetched_unused:
-                issued_at = self._prefetched_unused.pop(block)
+            if block in pf_unused:
+                issued_at = pf_unused.pop(block)
                 self.prefetch.useful += 1
                 lane.prefetch.useful += 1
                 if self._stream_of:
@@ -352,22 +367,49 @@ class TenantHierarchy:
                     lane.used_since = n
             level = "L1"
         else:
+            l2.misses += 1
             lane.stats_l2.misses += 1
             stall += self.config.memory_latency
-            self._install_l2(block, now, from_prefetch=False)
+            # L2 fill, charged to the active tenant as a demand eviction.
+            if len(way2) >= l2.geometry.associativity:
+                victim = way2.pop(0)
+                l2.evictions += 1
+                # Inclusion: a translated block can only be in its owner's L1.
+                owner_l1 = self._lanes[victim >> _TENANT_SHIFT].l1
+                victim_way = owner_l1._sets[victim & owner_l1._set_mask]
+                if victim in victim_way:
+                    victim_way.remove(victim)
+                lane.stats_l2.evictions += 1
+                self.demand_shared_evictions += 1
+                if victim in pf_unused:
+                    self._account_eviction(victim, l1_only=False, now=now)
+            way2.append(block)
             level = "L2"
         if telem.enabled:
             lane.misses_since += 1
             if lane.misses_since >= lane.miss_sample_every:
                 lane.misses_since = 0
                 telem.emit(CacheMiss(now, level, block, stall))
-        self._install_l1(block, now, from_prefetch=False)
+        # L1 fill (the block missed L1, so it is not resident)
+        if len(way) >= l1.geometry.associativity:
+            victim = way.pop(0)
+            l1.evictions += 1
+            lane.stats_l1.evictions += 1
+            if self.sharing == "shared":
+                self.demand_shared_evictions += 1
+            if victim in pf_unused:
+                self._account_eviction(victim, l1_only=True, now=now)
+        way.append(block)
         return stall
 
     # ---------------------------------------------------------- prefetch path
 
     def issue_prefetch(self, addr: int, now: int, source: str = "sw") -> None:
-        """Prefetch by the active tenant (credited to it as issuer)."""
+        """Prefetch by the active tenant (credited to it as issuer).
+
+        Every eviction from a shared level is entered in the pollution
+        matrix under (active tenant, victim's owner).
+        """
         lane = self._lane
         self.prefetch.issued += 1
         lane.prefetch.issued += 1
@@ -386,7 +428,10 @@ class TenantHierarchy:
             if sstats is None:
                 sstats = lane.stream_stats[skey] = StreamPrefetchStats()
             sstats.issued += 1
-        if lane.l1.contains(block) or block in self._inflight:
+        l1 = lane.l1
+        way = l1._sets[block & l1._set_mask]
+        inflight = self._inflight
+        if block in way or block in inflight:
             self.prefetch.redundant += 1
             lane.prefetch.redundant += 1
             if skey is not None:
@@ -408,17 +453,47 @@ class TenantHierarchy:
                 n = 0
                 telem.emit(PrefetchIssued(now, block, source, False))
             lane.issued_since = n
-        if self.l2.contains(block):
-            self._inflight[block] = now + self.config.l2_latency
+        pf_unused = self._prefetched_unused
+        pollution = self.pollution_counts
+        l2 = self.l2
+        way2 = l2._sets[block & l2._set_mask]
+        if block in way2:
+            inflight[block] = now + self.config.l2_latency
         else:
-            self._inflight[block] = now + self.config.memory_latency
-            self._install_l2(block, now, from_prefetch=True)
-        self._install_l1(block, now, from_prefetch=True)
-        self._prefetched_unused[block] = now
+            inflight[block] = now + self.config.memory_latency
+            # L2 fill with owner-only inclusion, as in access()
+            if len(way2) >= l2.geometry.associativity:
+                victim = way2.pop(0)
+                l2.evictions += 1
+                owner = victim >> _TENANT_SHIFT
+                owner_l1 = self._lanes[owner].l1
+                victim_way = owner_l1._sets[victim & owner_l1._set_mask]
+                if victim in victim_way:
+                    victim_way.remove(victim)
+                lane.stats_l2.evictions += 1
+                self.prefetch_shared_evictions += 1
+                key = (self._active, owner)
+                pollution[key] = pollution.get(key, 0) + 1
+                if victim in pf_unused:
+                    self._account_eviction(victim, l1_only=False, now=now)
+            way2.append(block)
+        # L1 fill (the block is not L1-resident: checked above)
+        if len(way) >= l1.geometry.associativity:
+            victim = way.pop(0)
+            l1.evictions += 1
+            lane.stats_l1.evictions += 1
+            if self.sharing == "shared":
+                self.prefetch_shared_evictions += 1
+                key = (self._active, victim >> _TENANT_SHIFT)
+                pollution[key] = pollution.get(key, 0) + 1
+            if victim in pf_unused:
+                self._account_eviction(victim, l1_only=True, now=now)
+        way.append(block)
+        pf_unused[block] = now
         if skey is not None:
             self._stream_of[block] = (self._active, skey)
 
-    # ------------------------------------------------------ installs/evictions
+    # ------------------------------------------------------------- evictions
 
     def _emit_evicted(self, lane: _TenantLane, now: int, block: int, at_finalize: bool) -> None:
         lane.evicted_since += 1
@@ -426,47 +501,21 @@ class TenantHierarchy:
             lane.evicted_since = 0
             lane.bus.emit(PrefetchEvicted(now, block, at_finalize))
 
-    def _credit_shared_eviction(self, victim: int, from_prefetch: bool) -> None:
-        if from_prefetch:
-            self.prefetch_shared_evictions += 1
-            key = (self._active, victim >> _TENANT_SHIFT)
-            self.pollution_counts[key] = self.pollution_counts.get(key, 0) + 1
-        else:
-            self.demand_shared_evictions += 1
-
-    def _install_l1(self, block: int, now: int, from_prefetch: bool) -> None:
-        victim = self._lane.l1.install(block)
-        if victim is not None:
-            self._lane.stats_l1.evictions += 1
-            if self.sharing == "shared":
-                self._credit_shared_eviction(victim, from_prefetch)
-            self._account_eviction(victim, l1_only=True, now=now)
-
-    def _install_l2(self, block: int, now: int, from_prefetch: bool) -> None:
-        victim = self.l2.install(block)
-        if victim is not None:
-            # Inclusion: an L2 eviction removes every tenant's L1 copy (at
-            # most one L1 actually holds it — the owner's).
-            for l1 in self._l1_caches:
-                l1.invalidate(victim)
-            self._lane.stats_l2.evictions += 1
-            self._credit_shared_eviction(victim, from_prefetch)
-            self._account_eviction(victim, l1_only=False, now=now)
-
     def _account_eviction(self, victim: int, l1_only: bool, now: int) -> None:
-        if victim in self._prefetched_unused:
-            if not l1_only or not self.l2.contains(victim):
-                del self._prefetched_unused[victim]
-                self._inflight.pop(victim, None)
-                owner = self._lanes[victim >> _TENANT_SHIFT]
-                self.prefetch.wasted += 1
-                owner.prefetch.wasted += 1
-                if self._stream_of:
-                    self._note_outcome(victim, "wasted")
-                if owner.ledger is not None:
-                    owner.ledger.on_evict(victim, now)
-                if owner.bus.enabled:
-                    self._emit_evicted(owner, now, victim, False)
+        """Classify an evicted, still-unused prefetched block for its owner
+        (the callers check ``victim in _prefetched_unused`` first)."""
+        if not l1_only or not self.l2.contains(victim):
+            del self._prefetched_unused[victim]
+            self._inflight.pop(victim, None)
+            owner = self._lanes[victim >> _TENANT_SHIFT]
+            self.prefetch.wasted += 1
+            owner.prefetch.wasted += 1
+            if self._stream_of:
+                self._note_outcome(victim, "wasted")
+            if owner.ledger is not None:
+                owner.ledger.on_evict(victim, now)
+            if owner.bus.enabled:
+                self._emit_evicted(owner, now, victim, False)
 
     # ------------------------------------------------------------ end of run
 

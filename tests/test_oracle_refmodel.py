@@ -117,6 +117,16 @@ class TestDifferential:
         ]
         diff_hierarchy(STRESS_MACHINE, ops)
 
+    def test_hierarchy_agrees_when_l2_evicts_an_l1_resident_block(self):
+        """L1 hits never refresh L2's LRU order, so block 0 stays hot in L1
+        while four other blocks of its L2 set (32 sets) push it out of L2;
+        inclusion must then drop it from L1 too."""
+        ops = []
+        for k in range(1, 5):
+            ops += [("access", 0), ("access", k * 32 * 32)]
+        ops.append(("access", 0))
+        diff_hierarchy(STRESS_MACHINE, ops)
+
     def test_planted_cache_bug_is_caught(self):
         """A promoted-on-contains bug must not survive the differential."""
 
@@ -164,3 +174,46 @@ class TestDifferential:
         prod.issue_prefetch(0, 0)
         ref.issue_prefetch(0, 0)
         assert prod.access(0, 5) != ref.access(0, 5)
+
+    def test_planted_tenant_hierarchy_bug_is_caught(self, monkeypatch):
+        """The single-tenant TenantHierarchy is one of the fuzzed variants."""
+        import repro.oracle.fuzz as fuzz
+        from repro.tenancy import TenantHierarchy
+
+        class BuggyTenantHierarchy(TenantHierarchy):
+            def issue_prefetch(self, addr, now, source="sw"):
+                # Planted bug: a prefetch of an L2-resident block pays DRAM.
+                super().issue_prefetch(addr, now, source)
+                block = self.block_of(addr)
+                if block in self._inflight:
+                    self._inflight[block] = now + self.config.memory_latency
+
+        monkeypatch.setattr(fuzz, "TenantHierarchy", BuggyTenantHierarchy)
+        # Blocks 8 and 16 push block 0 out of its L1 set, not out of L2.
+        ops = [("access", 0), ("access", 256), ("access", 512), ("prefetch", 0),
+               ("access", 0)]
+        with pytest.raises(OracleError, match="TenantHierarchy: op #4 access"):
+            diff_hierarchy(STRESS_MACHINE, ops)
+
+    def test_planted_fastpath_closure_bug_is_caught(self, monkeypatch):
+        """The compiled kernel's access closure is one of the fuzzed variants."""
+        import repro.oracle.fuzz as fuzz
+
+        real = fuzz.make_fast_access
+
+        def buggy_factory(hier):
+            access = real(hier)
+
+            def buggy_access(addr, now):
+                # Planted bug: a demand hit forgets to count as an L1 hit.
+                before = hier.l1.hits
+                stall = access(addr, now)
+                if hier.l1.hits != before:
+                    hier.l1.hits = before
+                return stall
+
+            return buggy_access
+
+        monkeypatch.setattr(fuzz, "make_fast_access", buggy_factory)
+        with pytest.raises(OracleError, match="fastpath closures: L1 hits"):
+            diff_hierarchy(STRESS_MACHINE, [("access", 0), ("access", 0)])

@@ -1,6 +1,8 @@
 """TenantHierarchy: isolation, attribution, pollution reconciliation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.config import CacheGeometry, MachineConfig
 from repro.machine.hierarchy import MemoryHierarchy
@@ -121,3 +123,80 @@ class TestFlush:
             hier.activate(tid)
             stall = hier.access(0, now=200)
             assert stall == TINY.memory_latency
+
+
+#: 4-block L1s over a 16-block L2 (2-way each), so that shared-L2 evictions
+#: of a block still in some tenant's L1 happen within a few ops.
+CRAMPED = MachineConfig(
+    l1=CacheGeometry(128, 2),
+    l2=CacheGeometry(512, 2),
+    l2_latency=10,
+    memory_latency=100,
+)
+#: One co-run op: (kind, operand).  The operand is a byte address spanning
+#: twice the L2 for access/prefetch, the tenant (mod N) for activate, and
+#: unused for flush.  Kinds repeat to weight them: a flush empties
+#: everything, so it must stay rare for sets to fill up.
+_KINDS = ["access"] * 6 + ["prefetch"] * 3 + ["activate"] * 2 + ["flush"]
+_OPS = st.lists(
+    st.tuples(st.sampled_from(_KINDS), st.integers(0, 2 * CRAMPED.l2.size_bytes - 1)),
+    max_size=300,
+)
+
+
+class TestInclusion:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tenants=st.integers(2, 3),
+        sharing=st.sampled_from(["shared", "private-l1"]),
+        ops=_OPS,
+    )
+    def test_every_l1_stays_inside_l2(self, tenants, sharing, ops):
+        hier = TenantHierarchy(CRAMPED, tenants=tenants, sharing=sharing)
+        now = 0
+        for kind, operand in ops:
+            now += 1
+            if kind == "access":
+                now += hier.access(operand, now)
+            elif kind == "prefetch":
+                hier.issue_prefetch(operand, now)
+            elif kind == "activate":
+                hier.activate(operand % tenants)
+            else:
+                hier.flush(now)
+            l2_blocks = hier.l2.resident_blocks()
+            for tid in range(tenants):
+                l1_blocks = hier._lanes[tid].l1.resident_blocks()
+                assert l1_blocks <= l2_blocks
+                if sharing == "private-l1":
+                    # What makes owner-only invalidation exact: a private
+                    # L1 only ever holds its own tenant's blocks.
+                    assert {hier.owner_of(b) for b in l1_blocks} <= {tid}
+            assert hier.check_reconciliation() == []
+            assert (
+                sum(hier.view(tid).l2.evictions for tid in range(tenants))
+                == hier.l2.evictions
+            )
+
+    def test_prefetch_evicting_a_cotenant_line_invalidates_only_its_l1(self):
+        hier = TenantHierarchy(TINY, tenants=2, sharing="private-l1")
+        a, b = 0, 1
+        hier.activate(b)
+        hier.access(0, now=0)  # B's block in L2 set 0 (and L1 set 0)
+        b_block = hier.block_of(0)
+        hier.activate(a)
+        hier.access(32, now=1)  # A's own block, L1 set 1
+        # Four A prefetches into L2 set 0 (4-way) push B's block out.
+        for i, raw in enumerate((32, 64, 96, 128)):
+            hier.issue_prefetch(raw * TINY.block_bytes, now=2 + i)
+        assert b_block not in hier.l2.resident_blocks()
+        assert hier._lanes[b].l1.resident_blocks() == set()
+        # A's L1 holds exactly its own fills: block 1 plus its two most
+        # recent prefetches (set 0 is 2-way).
+        assert hier._lanes[a].l1.resident_blocks() == {1, 96, 128}
+        assert hier.pollution_counts == {(a, b): 1}
+        assert hier.view(a).l2.evictions == 1
+        assert hier.view(b).l2.evictions == 0
+        assert hier.check_reconciliation() == []
+        hier.activate(b)
+        assert hier.access(0, now=100) == TINY.memory_latency
